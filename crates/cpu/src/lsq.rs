@@ -14,6 +14,12 @@
 use recon_secure::Seq;
 use std::collections::VecDeque;
 
+/// The entry of an age-ordered queue holding `seq`.
+fn by_seq<T>(entries: &mut VecDeque<T>, seq: Seq, key: impl Fn(&T) -> Seq) -> Option<&mut T> {
+    let i = entries.binary_search_by_key(&seq, key).ok()?;
+    entries.get_mut(i)
+}
+
 /// A store-queue entry (in-flight or committed-but-unperformed store).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SqEntry {
@@ -100,14 +106,14 @@ impl StoreQueue {
 
     /// Records the resolved address of a store.
     pub fn set_addr(&mut self, seq: Seq, addr: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
+        if let Some(e) = by_seq(&mut self.entries, seq, |e| e.seq) {
             e.addr = Some(addr);
         }
     }
 
     /// Records the data of a store.
     pub fn set_value(&mut self, seq: Seq, value: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
+        if let Some(e) = by_seq(&mut self.entries, seq, |e| e.seq) {
             e.value = Some(value);
         }
     }
@@ -310,7 +316,7 @@ impl LoadQueue {
 
     /// Marks a load executed at `addr`, with its forwarding source.
     pub fn complete(&mut self, seq: Seq, addr: u64, forwarded_from: Option<Seq>) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.seq == seq) {
+        if let Some(e) = by_seq(&mut self.entries, seq, |e| e.seq) {
             e.addr = Some(addr);
             e.forwarded_from = forwarded_from;
             e.done = true;

@@ -195,22 +195,26 @@ impl Rob {
         self.next_seq = seq;
     }
 
-    /// Removes every entry **younger than** `seq`, returning them
-    /// youngest-first (the order rename undo must be applied in).
+    /// Removes every entry **younger than** `seq`, handing each to `f`
+    /// youngest-first (the order rename undo must be applied in), and
+    /// returns how many were removed.
     ///
     /// Squashed sequence numbers are reused by subsequent pushes: the
     /// caller must purge them from every side structure (IQ, LSQ,
     /// shadows, guards), which also keeps the window's sequence numbers
     /// contiguous.
-    pub fn squash_after(&mut self, seq: Seq) -> Vec<RobEntry> {
-        let mut squashed = Vec::new();
-        while matches!(self.entries.back(), Some(e) if e.seq > seq) {
-            squashed.push(self.entries.pop_back().expect("checked"));
+    pub fn squash_after(&mut self, seq: Seq, mut f: impl FnMut(&RobEntry)) -> usize {
+        let mut squashed = 0;
+        let mut oldest_squashed = None;
+        while let Some(e) = self.entries.pop_back_if(|e| e.seq > seq) {
+            f(&e);
+            oldest_squashed = Some(e.seq);
+            squashed += 1;
         }
         if let Some(youngest_kept) = self.entries.back() {
             self.next_seq = youngest_kept.seq + 1;
-        } else if let Some(oldest_squashed) = squashed.last() {
-            self.next_seq = oldest_squashed.seq;
+        } else if let Some(oldest) = oldest_squashed {
+            self.next_seq = oldest;
         }
         squashed
     }
@@ -260,8 +264,8 @@ mod tests {
         for pc in 0..5 {
             rob.push(pc, nop());
         }
-        let squashed = rob.squash_after(1);
-        let seqs: Vec<_> = squashed.iter().map(|e| e.seq).collect();
+        let mut seqs = Vec::new();
+        assert_eq!(rob.squash_after(1, |e| seqs.push(e.seq)), 3);
         assert_eq!(seqs, vec![4, 3, 2]);
         assert_eq!(rob.len(), 2);
         // Squashed sequence numbers are reused to keep the window
