@@ -275,7 +275,16 @@ impl JobSpec {
         };
 
         let suite = str_field("suite")?;
-        let bench = str_field("bench")?;
+        // Benchmark names match case-insensitively, as on the command
+        // line, and resolve to the suite's own spelling: the lookup and
+        // the digest see one name.
+        let bench = str_field("bench")?.map(|b| {
+            suite
+                .as_deref()
+                .and_then(parse_suite)
+                .and_then(|s| suite_names(s).iter().find(|n| n.eq_ignore_ascii_case(&b)))
+                .map_or(b, |n| (*n).to_string())
+        });
         let gadget = str_field("gadget")?;
         let scheme = match v.get("scheme") {
             None | Some(Json::Null) => None,
@@ -1031,6 +1040,21 @@ mod tests {
         assert_eq!(s.kind, JobKind::Run);
         assert_eq!(s.fuel, Some(1000));
         assert_eq!(s.scheme, Some(SecureConfig::stt()));
+    }
+
+    #[test]
+    fn benchmark_names_resolve_case_insensitively_to_the_suite_spelling() {
+        let mixed = spec(r#"{"kind":"run","suite":"spec2017","bench":"cactuBSSN","scheme":"stt"}"#)
+            .unwrap();
+        assert_eq!(mixed.bench.as_deref(), Some("cactuBSSN"));
+        let upper = spec(r#"{"kind":"run","suite":"spec2017","bench":"CACTUBSSN","scheme":"stt"}"#)
+            .unwrap();
+        assert_eq!(upper.digest(), mixed.digest());
+        // Names that were already accepted keep their digests.
+        let mcf = spec(r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt+recon"}"#);
+        assert_eq!(mcf.unwrap().digest(), 0xd535_af3c_26fe_e268);
+        let shouted = spec(r#"{"kind":"analyze","suite":"spec2017","bench":"MCF"}"#);
+        assert_eq!(shouted.unwrap().digest(), 0x1d7e_35c7_ee9e_bfc2);
     }
 
     #[test]

@@ -173,3 +173,21 @@ fn flooded_one_slot_queue_backpressures_with_429() {
     // After shutdown the listener is gone.
     assert!(client::request(addr, "GET", "/healthz", None).is_err());
 }
+
+#[test]
+fn mixed_case_benchmark_names_are_served() {
+    let server = start(1, 4);
+    let addr = server.addr();
+    let spec = r#"{"kind":"analyze","suite":"spec2017","bench":"cactuBSSN"}"#;
+    let first = client::submit_job(addr, spec).unwrap();
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(first.body, direct_payload(spec));
+    // Another spelling of the same name is the same job.
+    let other = r#"{"kind":"analyze","suite":"spec2017","bench":"CactuBSSN"}"#;
+    let again = client::submit_job(addr, other).unwrap();
+    assert_eq!(again.status, 200);
+    assert_eq!(again.header("x-recon-cache"), Some("hit"));
+    let resp = client::request(addr, "POST", "/shutdown", None).unwrap();
+    assert_eq!(resp.status, 200);
+    server.wait();
+}
