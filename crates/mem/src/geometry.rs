@@ -76,9 +76,11 @@ impl CacheGeometry {
     /// Splits a byte address into `(set index, tag)`.
     #[must_use]
     pub fn slice(&self, addr: u64) -> (usize, u64) {
+        // `new` admits only power-of-two set counts, so the set index
+        // and tag are a mask and a shift of the line number.
         let line = addr / LINE_BYTES;
-        let set = (line % self.sets as u64) as usize;
-        let tag = line / self.sets as u64;
+        let set = (line & (self.sets as u64 - 1)) as usize;
+        let tag = line >> self.sets.trailing_zeros();
         (set, tag)
     }
 
