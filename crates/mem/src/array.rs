@@ -53,9 +53,19 @@ pub struct Evicted {
 pub struct CacheArray {
     geom: CacheGeometry,
     sets: Vec<Vec<Way>>,
+    /// The lookup index: the tag of each valid way in `(set, way)`
+    /// order and [`NO_LINE`] for an invalid one, so a lookup scans one
+    /// packed `u64` per way instead of whole `Way` records. `fill`,
+    /// `invalidate` and `load_snap`, the only writers of a way's valid
+    /// bit or tag, keep it in step with `sets`.
+    keys: Vec<u64>,
     masks: MaskArray,
     tick: u64,
 }
+
+/// The key of an invalid way. A tag is a line number shifted right by
+/// the set-index bits, so it is never all ones.
+const NO_LINE: u64 = u64::MAX;
 
 impl CacheArray {
     /// Creates an empty array with the given geometry.
@@ -66,6 +76,7 @@ impl CacheArray {
         CacheArray {
             geom,
             sets,
+            keys: vec![NO_LINE; geom.num_sets() * geom.ways()],
             masks,
             tick: 0,
         }
@@ -83,11 +94,17 @@ impl CacheArray {
         set * self.geom.ways() + way
     }
 
+    /// The keys of `set`'s ways.
+    fn set_keys(&self, set: usize) -> &[u64] {
+        let ways = self.geom.ways();
+        &self.keys[set * ways..(set + 1) * ways]
+    }
+
     fn find(&self, addr: u64) -> Option<(usize, usize)> {
         let (set, tag) = self.geom.slice(addr);
-        self.sets[set]
+        self.set_keys(set)
             .iter()
-            .position(|w| w.valid && w.tag == tag)
+            .position(|&k| k == tag)
             .map(|way| (set, way))
     }
 
@@ -180,7 +197,7 @@ impl CacheArray {
             return None;
         }
         let (set, tag) = self.geom.slice(addr);
-        let slot = if let Some(i) = self.sets[set].iter().position(|w| !w.valid) {
+        let slot = if let Some(i) = self.set_keys(set).iter().position(|&k| k == NO_LINE) {
             i
         } else {
             // LRU victim.
@@ -204,6 +221,7 @@ impl CacheArray {
             state,
             last_use: tick,
         };
+        self.keys[mask_slot] = tag;
         self.masks.set(mask_slot, mask);
         evicted
     }
@@ -216,6 +234,7 @@ impl CacheArray {
         // Conceal the slot so array-wide packed scans only see valid
         // lines' reveal bits.
         self.masks.set(slot, RevealMask::all_concealed());
+        self.keys[slot] = NO_LINE;
         let way = &mut self.sets[s][w];
         way.valid = false;
         Some((way.state, mask))
@@ -413,12 +432,19 @@ impl CacheArray {
             });
         }
         let mut sets = Vec::with_capacity(num_sets);
+        let mut keys = vec![NO_LINE; num_sets * num_ways];
         let mut masks = MaskArray::new(num_sets * num_ways);
         for set in 0..num_sets {
             let mut ways = Vec::with_capacity(num_ways);
             for way in 0..num_ways {
                 let valid = r.bool()?;
                 let tag = r.u64()?;
+                if valid && tag == NO_LINE {
+                    return Err(SnapError {
+                        what: format!("set {set} way {way}: tag {tag:#x} is out of range"),
+                        offset: r.offset(),
+                    });
+                }
                 let state = mesi_from_u8(r.u8()?, r)?;
                 let mask = RevealMask::from_bits(r.u8()?);
                 let last_use = r.u64()?;
@@ -431,6 +457,7 @@ impl CacheArray {
                 // Invalid slots stay concealed in the packed array so
                 // revealed_words() counts only resident lines.
                 if valid {
+                    keys[set * num_ways + way] = tag;
                     masks.set(set * num_ways + way, mask);
                 }
             }
@@ -439,6 +466,7 @@ impl CacheArray {
         Ok(CacheArray {
             geom,
             sets,
+            keys,
             masks,
             tick,
         })
