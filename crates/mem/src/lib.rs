@@ -38,7 +38,7 @@ pub mod observe;
 pub mod stats;
 pub mod system;
 
-pub use array::{CacheArray, Evicted};
+pub use array::{CacheArray, Evicted, Miss};
 pub use config::{LatencyConfig, MemConfig};
 pub use geometry::CacheGeometry;
 pub use mesi::{DirState, Mesi, SharerSet};
