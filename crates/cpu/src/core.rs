@@ -1477,7 +1477,10 @@ impl Core {
         } else {
             None
         };
-        self.lq.complete(seq, addr, fwd_seq);
+        // Only the predictor mode's violation check reads completions.
+        if self.cfg.mdp == MdpMode::Predictor {
+            self.lq.complete(seq, addr, fwd_seq);
+        }
         let e = self.rob.get_mut(seq).expect("present");
         e.addr = Some(addr);
         e.value = Some(value);
@@ -1521,7 +1524,9 @@ impl Core {
         let out = mem.rmw(self.id, addr);
         let old = data.read(addr);
         data.write(addr, old.wrapping_add(addend));
-        self.lq.complete(seq, addr, None);
+        if self.cfg.mdp == MdpMode::Predictor {
+            self.lq.complete(seq, addr, None);
+        }
         let e = self.rob.get_mut(seq).expect("present");
         e.addr = Some(addr);
         e.value = Some(old);

@@ -252,6 +252,11 @@ impl StoreBuffer {
 }
 
 /// The load queue: in-flight loads, for occupancy and violation checks.
+///
+/// Every load holds an entry from dispatch to commit. The core records
+/// a load's execution ([`LoadQueue::complete`]) only under memory-
+/// dependence speculation, where [`LoadQueue::violation`] reads it; in
+/// conservative mode entries stay un-executed.
 #[derive(Clone, Debug, Default)]
 pub struct LoadQueue {
     entries: VecDeque<LqEntry>,
