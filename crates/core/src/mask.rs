@@ -50,24 +50,28 @@ impl RevealMask {
     /// A mask with every word concealed — the state of a line fetched
     /// from memory.
     #[must_use]
+    #[inline]
     pub fn all_concealed() -> Self {
         RevealMask(0)
     }
 
     /// A mask with every word revealed (useful in tests).
     #[must_use]
+    #[inline]
     pub fn all_revealed() -> Self {
         RevealMask(0xFF)
     }
 
     /// Constructs a mask from its raw bits (bit *i* = word *i*).
     #[must_use]
+    #[inline]
     pub fn from_bits(bits: u8) -> Self {
         RevealMask(bits)
     }
 
     /// The raw bits (bit *i* = word *i*).
     #[must_use]
+    #[inline]
     pub fn bits(self) -> u8 {
         self.0
     }
@@ -78,6 +82,7 @@ impl RevealMask {
     ///
     /// Panics if `word >= WORDS_PER_LINE`.
     #[must_use]
+    #[inline]
     pub fn is_revealed(self, word: usize) -> bool {
         assert!(word < WORDS_PER_LINE, "word index {word} out of range");
         self.0 & (1 << word) != 0
@@ -88,6 +93,7 @@ impl RevealMask {
     /// # Panics
     ///
     /// Panics if `word >= WORDS_PER_LINE`.
+    #[inline]
     pub fn reveal(&mut self, word: usize) {
         assert!(word < WORDS_PER_LINE, "word index {word} out of range");
         self.0 |= 1 << word;
@@ -98,6 +104,7 @@ impl RevealMask {
     /// # Panics
     ///
     /// Panics if `word >= WORDS_PER_LINE`.
+    #[inline]
     pub fn conceal(&mut self, word: usize) {
         assert!(word < WORDS_PER_LINE, "word index {word} out of range");
         self.0 &= !(1 << word);
@@ -108,18 +115,21 @@ impl RevealMask {
     /// directory ("Or-ing the L1 bit-vector with the directory bit-vector
     /// guarantees that information is preserved across consecutive
     /// evictions from different L1s").
+    #[inline]
     pub fn merge_or(&mut self, other: RevealMask) {
         self.0 |= other.0;
     }
 
     /// Number of revealed words in the line.
     #[must_use]
+    #[inline]
     pub fn count_revealed(self) -> u32 {
         self.0.count_ones()
     }
 
     /// Whether any word in the line is revealed.
     #[must_use]
+    #[inline]
     pub fn any_revealed(self) -> bool {
         self.0 != 0
     }

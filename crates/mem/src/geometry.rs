@@ -57,12 +57,14 @@ impl CacheGeometry {
 
     /// Associativity (ways per set).
     #[must_use]
+    #[inline]
     pub fn ways(&self) -> usize {
         self.ways
     }
 
     /// Number of sets.
     #[must_use]
+    #[inline]
     pub fn num_sets(&self) -> usize {
         self.sets
     }
@@ -75,6 +77,7 @@ impl CacheGeometry {
 
     /// Splits a byte address into `(set index, tag)`.
     #[must_use]
+    #[inline]
     pub fn slice(&self, addr: u64) -> (usize, u64) {
         // `new` admits only power-of-two set counts, so the set index
         // and tag are a mask and a shift of the line number.
@@ -86,6 +89,7 @@ impl CacheGeometry {
 
     /// Reconstructs the line base address from `(set, tag)`.
     #[must_use]
+    #[inline]
     pub fn unslice(&self, set: usize, tag: u64) -> u64 {
         (tag * self.sets as u64 + set as u64) * LINE_BYTES
     }
