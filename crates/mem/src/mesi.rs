@@ -114,8 +114,7 @@ impl SharerSet {
 
     /// Iterates over core ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let bits = self.0;
-        (0..64).filter(move |i| bits & (1 << i) != 0)
+        set_bits(self.0)
     }
 }
 
@@ -127,6 +126,17 @@ impl FromIterator<usize> for SharerSet {
         }
         s
     }
+}
+
+/// The positions of the set bits of `mask`, in ascending order.
+pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// Directory-side state of a line (in-cache directory at the LLC).
