@@ -181,8 +181,8 @@ fn bench_paged_vs_word_map() -> (f64, f64) {
     (old_ns, new_ns)
 }
 
-/// Directory-map comparison: FxHash vs SipHash on the line-granular
-/// lookup pattern the MESI directory performs.
+/// Hash comparison: FxHash vs SipHash on line-granular `u64` keys (the
+/// MESI directory used such a map before it moved into the LLC ways).
 fn bench_dir_hash() -> (f64, f64) {
     const LINES: u64 = 1 << 14;
 
@@ -223,7 +223,7 @@ fn main() {
     );
     let (sip_ns, fx_ns) = bench_dir_hash();
     println!(
-        "dircmp: FxHash directory lookups are {:.2}x SipHash",
+        "dircmp: FxHash line-keyed lookups are {:.2}x SipHash",
         sip_ns / fx_ns
     );
 }
