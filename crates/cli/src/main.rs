@@ -51,90 +51,18 @@ use recon_secure::SecureConfig;
 use recon_sim::ckpt::{self, CkptContext};
 use recon_sim::report::Table;
 use recon_sim::{
-    jobs_from_env, Budget, Experiment, SimError, System, SystemResult, DEFAULT_WATCHDOG_CYCLES,
+    experiment_for, jobs_from_env, Budget, RunSpec, SimError, System, SystemResult,
+    DEFAULT_WATCHDOG_CYCLES,
 };
-use recon_workloads::{
-    corpus, parsec, spec2006, spec2017, Benchmark, Scale, Suite, ThreadSpec, Workload,
-};
-
-fn scale() -> Scale {
-    Scale::from_env()
-}
-
-fn scale_label() -> &'static str {
-    match scale() {
-        Scale::Quick => "quick",
-        Scale::Paper => "paper",
-    }
-}
-
-/// Default checkpoint cadence in simulated cycles when `--checkpoint`
-/// is given without `--checkpoint-every`.
-const DEFAULT_CKPT_EVERY: u64 = 500_000;
+use recon_workloads::{Scale, Suite, ThreadSpec, Workload};
 
 /// Checkpoints retained per job while it runs.
 const CKPT_KEEP: usize = 3;
 
-/// Suite names the CLI accepts, in display order.
-const SUITE_NAMES: [&str; 4] = ["spec2017", "spec2006", "parsec", "corpus"];
-
-fn parse_suite(name: &str) -> Option<(Suite, Vec<Benchmark>)> {
-    match name.to_ascii_lowercase().as_str() {
-        "spec2017" => Some((Suite::Spec2017, spec2017(scale()))),
-        "spec2006" => Some((Suite::Spec2006, spec2006(scale()))),
-        "parsec" => Some((Suite::Parsec, parsec(scale()))),
-        "corpus" => Some((Suite::Corpus, corpus(scale()))),
-        _ => None,
-    }
-}
-
-/// ` — did you mean '..'?` when `input` is a near-miss of a candidate.
-fn hint(input: &str, candidates: impl IntoIterator<Item = &'static str>) -> String {
-    recon_asm::suggest(&input.to_ascii_lowercase(), candidates)
-        .map_or_else(String::new, |s| format!(" — did you mean '{s}'?"))
-}
-
-fn unknown_suite(name: &str) -> String {
-    format!(
-        "unknown suite '{name}' ({}){}",
-        SUITE_NAMES.join("|"),
-        hint(name, SUITE_NAMES)
-    )
-}
-
-/// Valid scheme spellings, for error messages.
-const SCHEME_NAMES: &str = SecureConfig::PARSE_NAMES;
-
-fn parse_scheme(name: &str) -> Option<SecureConfig> {
-    SecureConfig::parse(name)
-}
-
-fn experiment_for(suite: Suite) -> Experiment {
-    let mem = if suite == Suite::Parsec {
-        MemConfig::scaled_multicore()
-    } else {
-        MemConfig::scaled()
-    };
-    Experiment {
-        mem,
-        ..Experiment::default()
-    }
-}
-
-fn find_bench(suite_name: &str, bench: &str) -> Result<(Suite, Benchmark), String> {
-    let (suite, list) = parse_suite(suite_name).ok_or_else(|| unknown_suite(suite_name))?;
-    let names: Vec<&'static str> = list.iter().map(|b| b.name).collect();
-    let b = list
-        .into_iter()
-        .find(|b| b.name.eq_ignore_ascii_case(bench))
-        .ok_or_else(|| format!("no benchmark '{bench}' in {suite}{}", hint(bench, names)))?;
-    Ok((suite, b))
-}
-
-fn cmd_list() -> ExitCode {
+fn cmd_list(scale: Scale) -> ExitCode {
     let mut t = Table::new(&["suite", "benchmark", "threads", "static instructions"]);
-    for (_, list) in SUITE_NAMES.iter().filter_map(|s| parse_suite(s)) {
-        for b in list {
+    for suite in Suite::ALL {
+        for b in suite.benchmarks(scale) {
             t.row(&[
                 b.suite.to_string(),
                 b.name.to_string(),
@@ -163,9 +91,14 @@ fn cmd_asm(file: &str, rest: &[&str]) -> ExitCode {
                 let Some(&value) = it.next() else {
                     return fail("--run wants a scheme");
                 };
-                match parse_scheme(value) {
+                match SecureConfig::parse(value) {
                     Some(s) => run = Some(s),
-                    None => return fail(&format!("unknown scheme '{value}' ({SCHEME_NAMES})")),
+                    None => {
+                        return fail(&format!(
+                            "unknown scheme '{value}' ({})",
+                            SecureConfig::PARSE_NAMES
+                        ))
+                    }
                 }
             }
             "--fast-forward" => {
@@ -267,9 +200,9 @@ fn cmd_asm(file: &str, rest: &[&str]) -> ExitCode {
 
 /// `recon workloads [--list]`: enumerate every suite and workload with
 /// static instruction counts, so nobody has to guess valid names.
-fn cmd_workloads(rest: &[&str]) -> ExitCode {
+fn cmd_workloads(rest: &[&str], scale: Scale) -> ExitCode {
     match rest {
-        [] | ["--list"] => cmd_list(),
+        [] | ["--list"] => cmd_list(scale),
         _ => fail(&format!("unknown workloads flag(s) {rest:?} (try --list)")),
     }
 }
@@ -286,34 +219,6 @@ fn print_run_result(name: &str, suite: Suite, secure: SecureConfig, r: &SystemRe
     println!("  trace dropped     {}", r.trace_dropped());
 }
 
-/// Parses `--fast-forward <instructions>` from already-split flag
-/// pairs: the functional warmup length applied before detailed timing.
-fn ff_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<u64>, String> {
-    match pairs.iter().find(|(f, _)| *f == "--fast-forward") {
-        None => Ok(None),
-        Some((_, v)) => v
-            .parse()
-            .ok()
-            .filter(|&n: &u64| n >= 1)
-            .map(Some)
-            .ok_or_else(|| format!("--fast-forward wants a positive instruction count, got '{v}'")),
-    }
-}
-
-/// Parses `--watchdog-cycles <cycles>` from already-split flag pairs:
-/// the liveness watchdog window. `0` disables the watchdog entirely;
-/// unset keeps the default window (`DEFAULT_WATCHDOG_CYCLES`).
-fn wd_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<u64>, String> {
-    match pairs.iter().find(|(f, _)| *f == "--watchdog-cycles") {
-        None => Ok(None),
-        Some((_, v)) => {
-            v.parse().ok().map(Some).ok_or_else(|| {
-                format!("--watchdog-cycles wants a cycle count (0 = off), got '{v}'")
-            })
-        }
-    }
-}
-
 /// Prints the full stall or invariant-audit forensics before the
 /// generic failure line, so a deadlocked or corrupted run explains
 /// itself (per-core ROB-head + wait reason, or the violated-invariant
@@ -326,161 +231,71 @@ fn print_stall_forensics(e: &SimError) {
     }
 }
 
-/// Parses `--audit <cycles>` from already-split flag pairs: the
-/// invariant-auditor sweep cadence. Unset leaves the auditor off (runs
-/// are bit-identical either way — the sweep is pure observation).
-fn audit_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<u64>, String> {
-    match pairs.iter().find(|(f, _)| *f == "--audit") {
-        None => Ok(None),
-        Some((_, v)) => v
-            .parse()
-            .ok()
-            .filter(|&n: &u64| n >= 1)
-            .map(Some)
-            .ok_or_else(|| format!("--audit wants a positive cycle cadence, got '{v}'")),
+fn ckpt_context(spec: &RunSpec, dir: PathBuf) -> CkptContext {
+    CkptContext {
+        dir,
+        cadence: spec.cadence.expect("a checkpointed spec has a cadence"),
+        keep: CKPT_KEEP,
     }
 }
 
-/// Parses `--checkpoint <dir>` / `--checkpoint-every <cycles>` from
-/// already-split flag pairs. `--checkpoint-every` without
-/// `--checkpoint` is an error (it would silently do nothing).
-fn ckpt_from_pairs(pairs: &[(&str, &str)]) -> Result<Option<CkptContext>, String> {
-    let dir = pairs
-        .iter()
-        .find(|(f, _)| *f == "--checkpoint")
-        .map(|(_, v)| PathBuf::from(*v));
-    let every =
-        match pairs.iter().find(|(f, _)| *f == "--checkpoint-every") {
-            None => DEFAULT_CKPT_EVERY,
-            Some((_, v)) => v.parse().ok().filter(|&n: &u64| n >= 1).ok_or_else(|| {
-                format!("--checkpoint-every wants a positive cycle count, got '{v}'")
-            })?,
-        };
-    match dir {
-        Some(dir) => Ok(Some(CkptContext {
-            dir,
-            cadence: every,
-            keep: CKPT_KEEP,
-        })),
-        None if pairs.iter().any(|(f, _)| *f == "--checkpoint-every") => {
-            Err("--checkpoint-every needs --checkpoint <dir>".to_string())
+/// Runs one spec'd job — under a checkpoint context when `dir` is set —
+/// and reports what the persistence layer did alongside the results.
+fn run_spec(spec: &RunSpec, dir: Option<PathBuf>) -> ExitCode {
+    let b = spec.benchmark().expect("a run spec names a benchmark");
+    let secure = spec.scheme.expect("a run spec names a scheme");
+    let exp = experiment_for(spec.suite);
+    let budget = spec.budget();
+    let ctx = dir.map(|dir| ckpt_context(spec, dir));
+    let (r, info) = match &ctx {
+        None => (exp.try_run(&b.workload, secure, &budget), None),
+        Some(ctx) => {
+            let (r, info) = ckpt::run_with_checkpoints(
+                &exp,
+                &b.workload,
+                secure,
+                &budget,
+                ctx,
+                &spec.meta(),
+                spec.digest(),
+            );
+            (r, Some(info))
         }
-        None => Ok(None),
-    }
-}
-
-/// The meta records stored in a `recon run` checkpoint: enough to
-/// rebuild the exact system on `recon resume`.
-fn run_meta(
-    suite: Suite,
-    bench: &str,
-    secure: SecureConfig,
-    cadence: u64,
-    ff: Option<u64>,
-    audit: Option<u64>,
-) -> Vec<(String, String)> {
-    let mut meta = vec![
-        ("kind".to_string(), "run".to_string()),
-        ("suite".to_string(), suite.to_string().to_ascii_lowercase()),
-        ("bench".to_string(), bench.to_string()),
-        ("scheme".to_string(), secure.to_string()),
-        ("scale".to_string(), scale_label().to_string()),
-        ("cadence".to_string(), cadence.to_string()),
-    ];
-    if let Some(ff) = ff {
-        meta.push(("fast_forward".to_string(), ff.to_string()));
-    }
-    if let Some(audit) = audit {
-        meta.push(("audit".to_string(), audit.to_string()));
-    }
-    meta
-}
-
-fn run_digest(
-    suite: Suite,
-    bench: &str,
-    secure: SecureConfig,
-    cadence: u64,
-    ff: Option<u64>,
-    audit: Option<u64>,
-) -> u64 {
-    let suite = suite.to_string().to_ascii_lowercase();
-    let scheme = secure.to_string();
-    let cadence = cadence.to_string();
-    let mut parts = vec![
-        "run",
-        suite.as_str(),
-        bench,
-        scheme.as_str(),
-        scale_label(),
-        cadence.as_str(),
-    ];
-    // The warmup length changes every result, so warmed runs get their
-    // own checkpoint/result records; unwarmed digests stay unchanged.
-    let ff = ff.map(|n| n.to_string());
-    if let Some(ff) = ff.as_deref() {
-        parts.push(ff);
-    }
-    // Audited runs likewise get their own records: an audit cadence can
-    // turn a completed run into an invariant-violation record, and the
-    // two must never share a digest.
-    let audit = audit.map(|n| format!("audit{n}"));
-    if let Some(audit) = audit.as_deref() {
-        parts.push(audit);
-    }
-    ckpt::config_digest(&parts)
-}
-
-/// Runs one configured job under a checkpoint context and reports what
-/// the persistence layer did alongside the results.
-#[allow(clippy::too_many_arguments)]
-fn run_checkpointed(
-    exp: &Experiment,
-    suite: Suite,
-    b: &Benchmark,
-    secure: SecureConfig,
-    ctx: &CkptContext,
-    ff: Option<u64>,
-    wd: Option<u64>,
-    audit: Option<u64>,
-) -> ExitCode {
-    let digest = run_digest(suite, b.name, secure, ctx.cadence, ff, audit);
-    let meta = run_meta(suite, b.name, secure, ctx.cadence, ff, audit);
-    let budget = Budget {
-        fast_forward: ff,
-        watchdog_cycles: wd,
-        audit_every_cycles: audit,
-        ..Budget::default()
     };
-    let (r, info) =
-        ckpt::run_with_checkpoints(exp, &b.workload, secure, &budget, ctx, &meta, digest);
-    if info.dropped_corrupt > 0 {
-        println!(
-            "dropped {} corrupt/stale checkpoint file(s)",
-            info.dropped_corrupt
-        );
-    }
-    if info.result_cached {
-        println!("result record found — returning the completed run");
-    } else if info.stall_cached {
-        println!("failure record found — replaying the recorded diagnosis");
-    } else if let Some(cycle) = info.resumed_from_cycle {
-        println!("resumed from checkpoint at cycle {cycle}");
+    if let Some(info) = &info {
+        if info.dropped_corrupt > 0 {
+            println!(
+                "dropped {} corrupt/stale checkpoint file(s)",
+                info.dropped_corrupt
+            );
+        }
+        if info.result_cached {
+            println!("result record found — returning the completed run");
+        } else if info.stall_cached {
+            println!("failure record found — replaying the recorded diagnosis");
+        } else if let Some(cycle) = info.resumed_from_cycle {
+            println!("resumed from checkpoint at cycle {cycle}");
+        }
     }
     match r {
         Ok(r) => {
-            print_run_result(b.name, suite, secure, &r);
-            if !info.result_cached {
-                println!(
-                    "  checkpoints       {} written, {} GC'd (cadence {})",
-                    info.checkpoints_written, info.gc_deleted, ctx.cadence
-                );
+            if let Some(ff) = spec.fast_forward {
+                println!("(functional fast-forward: {ff} instructions before detailed timing)");
+            }
+            print_run_result(b.name, spec.suite, secure, &r);
+            if let (Some(ctx), Some(info)) = (&ctx, &info) {
+                if !info.result_cached {
+                    println!(
+                        "  checkpoints       {} written, {} GC'd (cadence {})",
+                        info.checkpoints_written, info.gc_deleted, ctx.cadence
+                    );
+                }
             }
             ExitCode::SUCCESS
         }
         Err(e) => {
             print_stall_forensics(&e);
-            if let Some(p) = &info.last_checkpoint {
+            if let Some(p) = info.as_ref().and_then(|i| i.last_checkpoint.as_ref()) {
                 println!("resumable checkpoint left at {}", p.display());
             }
             fail(&format!("run did not complete: {e}"))
@@ -488,61 +303,25 @@ fn run_checkpointed(
     }
 }
 
-fn cmd_run(suite_name: &str, bench: &str, scheme: &str, rest: &[&str]) -> ExitCode {
-    let (suite, b) = match find_bench(suite_name, bench) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let Some(secure) = parse_scheme(scheme) else {
-        return fail(&format!("unknown scheme '{scheme}' ({SCHEME_NAMES})"));
-    };
-    let pairs = match parse_flag_pairs(rest) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let (ctx, ff, wd, audit) = match ckpt_from_pairs(&pairs).and_then(|c| {
-        Ok((
-            c,
-            ff_from_pairs(&pairs)?,
-            wd_from_pairs(&pairs)?,
-            audit_from_pairs(&pairs)?,
-        ))
-    }) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let exp = experiment_for(suite);
-    match ctx {
-        Some(ctx) => run_checkpointed(&exp, suite, &b, secure, &ctx, ff, wd, audit),
-        None => {
-            let budget = Budget {
-                fast_forward: ff,
-                watchdog_cycles: wd,
-                audit_every_cycles: audit,
-                ..Budget::default()
-            };
-            let r = match exp.try_run(&b.workload, secure, &budget) {
-                Ok(r) => r,
-                Err(e) => {
-                    print_stall_forensics(&e);
-                    return fail(&format!("run did not complete: {e}"));
-                }
-            };
-            if let Some(ff) = ff {
-                println!("(functional fast-forward: {ff} instructions before detailed timing)");
-            }
-            print_run_result(b.name, suite, secure, &r);
-            ExitCode::SUCCESS
-        }
+fn cmd_run(suite: &str, bench: &str, scheme: &str, rest: &[&str], scale: Scale) -> ExitCode {
+    match RunSpec::from_flags(suite, Some(bench), Some(scheme), scale, rest) {
+        Ok((spec, dir)) => run_spec(&spec, dir),
+        Err(e) => fail(&e),
     }
 }
 
-/// Resumes a run from a checkpoint file written by
-/// `recon run --checkpoint`: rebuilds the system from the checkpoint's
-/// meta records, restores the newest valid checkpoint of that job in
-/// the file's directory, and continues to completion (checkpointing
-/// onward at the recorded cadence).
-fn cmd_resume(file: &str) -> ExitCode {
+/// Resumes a run from a checkpoint file written by `recon run
+/// --checkpoint` (or `recon suite --checkpoint`): rebuilds the run spec
+/// from the checkpoint's meta, restores the newest valid checkpoint of
+/// that spec in the file's directory, and continues to completion
+/// (checkpointing onward at the recorded cadence). The spec carries
+/// every setting, so resume takes no flags.
+fn cmd_resume(file: &str, rest: &[&str]) -> ExitCode {
+    if let Some(flag) = rest.first() {
+        return fail(&format!(
+            "unknown resume flag '{flag}' (none accepted: the checkpoint carries the run's settings)"
+        ));
+    }
     let bytes = match std::fs::read(file) {
         Ok(b) => b,
         Err(e) => return fail(&format!("cannot read {file}: {e}")),
@@ -551,70 +330,25 @@ fn cmd_resume(file: &str) -> ExitCode {
         Ok(c) => c,
         Err(e) => return fail(&format!("{file} is not a valid checkpoint: {e}")),
     };
-    if ck.meta("kind") != Some("run") {
-        return fail(&format!(
-            "{file} was not written by 'recon run --checkpoint' (kind={}); \
-             resume it with the command that produced it",
-            ck.meta("kind").unwrap_or("missing")
-        ));
-    }
-    let (Some(suite_name), Some(bench), Some(scheme), Some(scale_want), Some(cadence)) = (
-        ck.meta("suite"),
-        ck.meta("bench"),
-        ck.meta("scheme"),
-        ck.meta("scale"),
-        ck.meta("cadence").and_then(|c| c.parse::<u64>().ok()),
-    ) else {
-        return fail(&format!("{file} is missing resume metadata"));
+    let spec = match RunSpec::from_meta(&ck) {
+        Ok(spec) if spec.bench.is_some() && spec.scheme.is_some() => spec,
+        Ok(_) => return fail(&format!("{file} does not name one benchmark and scheme")),
+        Err(e) => return fail(&format!("cannot resume {file}: {e}")),
     };
-    if scale_want != scale_label() {
-        return fail(&format!(
-            "checkpoint was taken at RECON_SCALE={scale_want}, current scale is {}; \
-             re-run with RECON_SCALE={scale_want}",
-            scale_label()
-        ));
-    }
-    let (suite, b) = match find_bench(suite_name, bench) {
-        Ok(x) => x,
-        Err(e) => return fail(&e),
-    };
-    let Some(secure) = parse_scheme(scheme) else {
-        return fail(&format!("checkpoint names unknown scheme '{scheme}'"));
-    };
-    // The warmup length rides in the meta so the resume recomputes the
-    // same digest; the warmup itself is never re-applied (the restored
-    // system is past cycle 0).
-    let ff = ck.meta("fast_forward").and_then(|v| v.parse::<u64>().ok());
-    // The audit cadence also rides in the meta: the resumed tail keeps
-    // sweeping (and the digest keeps matching the original run's).
-    let audit = ck.meta("audit").and_then(|v| v.parse::<u64>().ok());
     let dir = PathBuf::from(file)
         .parent()
         .map_or_else(|| PathBuf::from("."), std::path::Path::to_path_buf);
-    let ctx = CkptContext {
-        dir,
-        cadence,
-        keep: CKPT_KEEP,
-    };
-    run_checkpointed(
-        &experiment_for(suite),
-        suite,
-        &b,
-        secure,
-        &ctx,
-        ff,
-        None,
-        audit,
-    )
+    run_spec(&spec, Some(dir))
 }
 
-fn cmd_matrix(suite_name: &str, bench: &str, jobs: usize) -> ExitCode {
-    let (suite, b) = match find_bench(suite_name, bench) {
-        Ok(x) => x,
+fn cmd_matrix(suite: &str, bench: &str, jobs: usize, scale: Scale) -> ExitCode {
+    let spec = match RunSpec::new(suite, Some(bench), None, scale) {
+        Ok(spec) => spec,
         Err(e) => return fail(&e),
     };
+    let suite = spec.suite;
     let exp = experiment_for(suite);
-    let benches = [b];
+    let benches = [spec.benchmark().expect("resolved")];
     let (mut matrices, _) = exp.run_matrices(&benches, jobs);
     let m = matrices.remove(0);
     let b = &benches[0];
@@ -639,48 +373,16 @@ fn cmd_matrix(suite_name: &str, bench: &str, jobs: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_suite(suite_name: &str, jobs: usize, rest: &[&str]) -> ExitCode {
-    let Some((suite, benchmarks)) = parse_suite(suite_name) else {
-        return fail(&format!(
-            "unknown suite '{suite_name}' (spec2017|spec2006|parsec)"
-        ));
-    };
-    let pairs = match parse_flag_pairs(rest) {
-        Ok(p) => p,
-        Err(e) => return fail(&e),
-    };
-    let (ctx, ff, wd, audit) = match ckpt_from_pairs(&pairs).and_then(|c| {
-        Ok((
-            c,
-            ff_from_pairs(&pairs)?,
-            wd_from_pairs(&pairs)?,
-            audit_from_pairs(&pairs)?,
-        ))
-    }) {
+fn cmd_suite(suite: &str, jobs: usize, rest: &[&str], scale: Scale) -> ExitCode {
+    let (spec, dir) = match RunSpec::from_flags(suite, None, None, scale, rest) {
         Ok(x) => x,
         Err(e) => return fail(&e),
     };
-    let budget = Budget {
-        fast_forward: ff,
-        watchdog_cycles: wd,
-        audit_every_cycles: audit,
-        ..Budget::default()
-    };
+    let suite = spec.suite;
+    let benchmarks = suite.benchmarks(scale);
     let exp = experiment_for(suite);
-    let (matrices, batch) = match &ctx {
-        None => exp.run_matrices_budgeted(&benchmarks, jobs, &budget),
-        Some(ctx) => {
-            // The tag namespaces this suite's jobs in the checkpoint
-            // dir; scale is folded in so quick/paper runs never share
-            // records.
-            let tag = format!(
-                "suite:{}:{}",
-                suite.to_string().to_ascii_lowercase(),
-                scale_label()
-            );
-            exp.run_matrices_checkpointed_budgeted(&benchmarks, jobs, &budget, ctx, &tag)
-        }
-    };
+    let ctx = dir.map(|dir| ckpt_context(&spec, dir));
+    let (matrices, batch) = exp.run_matrices_spec(&benchmarks, jobs, &spec, ctx.as_ref());
     let mut t = Table::new(&[
         "benchmark",
         "unsafe IPC",
@@ -726,7 +428,7 @@ fn cmd_suite(suite_name: &str, jobs: usize, rest: &[&str]) -> ExitCode {
         batch.serial_seconds(),
         batch.speedup(),
     );
-    if let Some(ff) = ff {
+    if let Some(ff) = spec.fast_forward {
         println!("(each job fast-forwarded {ff} instructions functionally before detailed timing)");
     }
     let mut jt = Table::new(&["benchmark", "scheme", "seconds", "instructions", "MIPS"]);
@@ -997,9 +699,9 @@ fn cmd_audit(rest: &[&str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_analyze(suite_name: &str, bench: &str) -> ExitCode {
-    let (_, b) = match find_bench(suite_name, bench) {
-        Ok(x) => x,
+fn cmd_analyze(suite: &str, bench: &str, scale: Scale) -> ExitCode {
+    let b = match RunSpec::new(suite, Some(bench), None, scale) {
+        Ok(spec) => spec.benchmark().expect("resolved"),
         Err(e) => return fail(&e),
     };
     if b.workload.num_threads() != 1 {
@@ -1055,10 +757,13 @@ fn cmd_verify(args: &[&str], jobs: usize) -> ExitCode {
                 }
                 gadget = Some(value);
             }
-            "--scheme" => match parse_scheme(value) {
+            "--scheme" => match SecureConfig::parse(value) {
                 Some(s) => scheme = Some(s),
                 None => {
-                    return fail(&format!("unknown scheme '{value}' ({SCHEME_NAMES})"));
+                    return fail(&format!(
+                        "unknown scheme '{value}' ({})",
+                        SecureConfig::PARSE_NAMES
+                    ));
                 }
             },
             "--fast-forward" => match value.parse::<u64>() {
@@ -1569,7 +1274,7 @@ fn cmd_chaos(args: &[&str], jobs: usize) -> ExitCode {
 /// pairs) and runs the MIPS scoreboard: functional vs detailed
 /// throughput per scheme, the fast-forward end-to-end speedup, and the
 /// per-optimization microbenchmarks, written to `BENCH_speed.json`.
-fn cmd_bench_speed(args: &[&str]) -> ExitCode {
+fn cmd_bench_speed(args: &[&str], scale: Scale) -> ExitCode {
     let mut quick = false;
     let mut out = "BENCH_speed.json".to_string();
     let mut bench = "mcf".to_string();
@@ -1598,7 +1303,7 @@ fn cmd_bench_speed(args: &[&str]) -> ExitCode {
             _ => return fail(&format!("unknown bench-speed flag '{flag}'")),
         }
     }
-    let report = recon_sim::SpeedReport::measure(Suite::Spec2017, &bench, quick);
+    let report = recon_sim::SpeedReport::measure(Suite::Spec2017, &bench, scale, quick);
     println!(
         "bench-speed: {} ({} scale){}",
         report.bench,
@@ -1756,21 +1461,22 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Strips a trailing `--jobs N` from the argument list, returning the
-/// remaining arguments and the worker count (default: `RECON_JOBS` or
-/// the host parallelism).
-fn split_jobs<'a>(args: &'a [&'a str]) -> Result<(&'a [&'a str], usize), String> {
-    if args.len() >= 2 && args[args.len() - 2] == "--jobs" {
-        let n = args[args.len() - 1];
-        let jobs: usize = n
-            .parse()
-            .ok()
-            .filter(|&j| j >= 1)
-            .ok_or_else(|| format!("--jobs wants a positive integer, got '{n}'"))?;
-        Ok((&args[..args.len() - 2], jobs))
-    } else {
-        jobs_from_env().map(|jobs| (args, jobs))
-    }
+/// Takes `--jobs N` out of the argument list, wherever it stands,
+/// returning the remaining arguments and the worker count (default:
+/// `RECON_JOBS` or the host parallelism).
+fn split_jobs<'a>(args: &[&'a str]) -> Result<(Vec<&'a str>, usize), String> {
+    let Some(i) = args.iter().position(|&a| a == "--jobs") else {
+        return jobs_from_env().map(|jobs| (args.to_vec(), jobs));
+    };
+    let n = args.get(i + 1).copied().unwrap_or("");
+    let jobs = n
+        .parse()
+        .ok()
+        .filter(|&j: &usize| j >= 1)
+        .ok_or_else(|| format!("--jobs wants a positive integer, got '{n}'"))?;
+    let mut rest = args.to_vec();
+    rest.drain(i..i + 2);
+    Ok((rest, jobs))
 }
 
 fn main() -> ExitCode {
@@ -1780,24 +1486,25 @@ fn main() -> ExitCode {
         Ok(x) => x,
         Err(e) => return fail(&e),
     };
-    match strs {
-        ["list"] => cmd_list(),
-        ["workloads", rest @ ..] => cmd_workloads(rest),
+    let scale = Scale::from_env();
+    match strs.as_slice() {
+        ["list"] => cmd_list(scale),
+        ["workloads", rest @ ..] => cmd_workloads(rest, scale),
         ["asm", file, rest @ ..] => cmd_asm(file, rest),
-        ["run", suite, bench, scheme, rest @ ..] => cmd_run(suite, bench, scheme, rest),
-        ["run", suite, bench] => cmd_matrix(suite, bench, jobs),
-        ["matrix", suite, bench] => cmd_matrix(suite, bench, jobs),
-        ["resume", file] => cmd_resume(file),
-        ["suite", suite, rest @ ..] => cmd_suite(suite, jobs, rest),
+        ["run", suite, bench, scheme, rest @ ..] => cmd_run(suite, bench, scheme, rest, scale),
+        ["run", suite, bench] => cmd_matrix(suite, bench, jobs, scale),
+        ["matrix", suite, bench] => cmd_matrix(suite, bench, jobs, scale),
+        ["resume", file, rest @ ..] => cmd_resume(file, rest),
+        ["suite", suite, rest @ ..] => cmd_suite(suite, jobs, rest, scale),
         ["fuzz", rest @ ..] => cmd_fuzz(rest, jobs),
         ["audit", rest @ ..] => cmd_audit(rest),
-        ["analyze", suite, bench] => cmd_analyze(suite, bench),
+        ["analyze", suite, bench] => cmd_analyze(suite, bench, scale),
         ["verify", rest @ ..] => cmd_verify(rest, jobs),
         ["overhead"] => cmd_overhead(),
         ["serve", rest @ ..] => cmd_serve(rest, jobs),
         ["gateway", rest @ ..] => cmd_gateway(rest),
         ["bench-serve", rest @ ..] => cmd_bench_serve(rest, jobs),
-        ["bench-speed", rest @ ..] => cmd_bench_speed(rest),
+        ["bench-speed", rest @ ..] => cmd_bench_speed(rest, scale),
         ["chaos", rest @ ..] => cmd_chaos(rest, jobs),
         _ => usage(),
     }

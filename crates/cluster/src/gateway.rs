@@ -188,6 +188,8 @@ impl Gateway {
     /// `InvalidInput` for an empty or unresolvable node list; bind
     /// errors.
     pub fn start(config: &GatewayConfig) -> io::Result<Gateway> {
+        // Digests key the scale, so route with the one the nodes run at.
+        recon_serve::job::set_scale(recon_workloads::Scale::from_env());
         if config.nodes.is_empty() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,

@@ -14,15 +14,15 @@
 
 use std::hash::Hasher;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use recon_isa::hash::FxHasher;
-use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
 use recon_sim::ckpt::{self, CkptContext, CkptRunInfo};
-use recon_sim::{Budget, DeadlineReason, Experiment, SimError, System, SystemResult};
-use recon_workloads::{find, Benchmark, Scale, Suite};
+pub use recon_sim::experiment_for;
+use recon_sim::{Budget, DeadlineReason, RunSpec, SimError, System, SystemResult};
+use recon_workloads::{Benchmark, Scale, Suite};
 
 use crate::json::{escape, Json};
 
@@ -140,6 +140,8 @@ pub struct JobSpec {
     /// form folds in its FxHash rather than the full text, so the digest
     /// stays short while still keying on every byte of the program.
     pub source: Option<String>,
+    /// Workload scale, fixed when the spec is parsed (see [`set_scale`]).
+    scale: Scale,
 }
 
 /// Why a job could not produce a result.
@@ -194,23 +196,15 @@ pub struct JobOutput {
     pub instructions: u64,
 }
 
-/// Suite names accepted over the wire, in display order.
-pub const SUITE_NAMES: [&str; 4] = ["spec2017", "spec2006", "parsec", "corpus"];
+/// Whether jobs parsed from now on run at paper scale (see
+/// [`set_scale`]).
+static PAPER_SCALE: AtomicBool = AtomicBool::new(false);
 
-fn parse_suite(name: &str) -> Option<Suite> {
-    match name {
-        "spec2017" => Some(Suite::Spec2017),
-        "spec2006" => Some(Suite::Spec2006),
-        "parsec" => Some(Suite::Parsec),
-        "corpus" => Some(Suite::Corpus),
-        _ => None,
-    }
-}
-
-/// ` — did you mean '..'?` when `input` is a near-miss of a candidate.
-fn hint(input: &str, candidates: impl IntoIterator<Item = &'static str>) -> String {
-    recon_asm::suggest(input, candidates)
-        .map_or_else(String::new, |s| format!(" — did you mean '{s}'?"))
+/// Sets the workload scale that every later [`JobSpec::from_json`]
+/// carries into its digest and execution. Server and gateway start-up
+/// call it with `RECON_SCALE`; until then jobs run at quick scale.
+pub fn set_scale(scale: Scale) {
+    PAPER_SCALE.store(scale == Scale::Paper, Ordering::Relaxed);
 }
 
 /// The keys a submission may carry, for the unknown-key check.
@@ -264,13 +258,20 @@ impl JobSpec {
             }
         };
         let num_field = |name: &str| -> Result<Option<u64>, String> {
+            // As on the command line, a watchdog window of 0 turns the
+            // watchdog off; every other count must be positive.
+            let (min, what) = if name == "watchdog_cycles" {
+                (0, "non-negative integer (0 = off)")
+            } else {
+                (1, "positive integer")
+            };
             match v.get(name) {
                 None | Some(Json::Null) => Ok(None),
                 Some(n) => n
                     .as_u64()
-                    .filter(|&x| x >= 1)
+                    .filter(|&x| x >= min)
                     .map(Some)
-                    .ok_or_else(|| format!("'{name}' must be a positive integer")),
+                    .ok_or_else(|| format!("'{name}' must be a {what}")),
             }
         };
 
@@ -281,9 +282,8 @@ impl JobSpec {
         let bench = str_field("bench")?.map(|b| {
             suite
                 .as_deref()
-                .and_then(parse_suite)
-                .and_then(|s| suite_names(s).iter().find(|n| n.eq_ignore_ascii_case(&b)))
-                .map_or(b, |n| (*n).to_string())
+                .and_then(|s| Suite::resolve(s).ok()?.resolve_bench(&b).ok())
+                .map_or(b, str::to_string)
         });
         let gadget = str_field("gadget")?;
         let scheme = match v.get("scheme") {
@@ -324,6 +324,11 @@ impl JobSpec {
             audit_every_cycles,
             trace,
             source,
+            scale: if PAPER_SCALE.load(Ordering::Relaxed) {
+                Scale::Paper
+            } else {
+                Scale::Quick
+            },
         };
         spec.validate()?;
         Ok(spec)
@@ -332,24 +337,14 @@ impl JobSpec {
     fn validate(&self) -> Result<(), String> {
         let needs_bench = matches!(self.kind, JobKind::Run | JobKind::Matrix | JobKind::Analyze);
         if needs_bench {
-            let suite_name = self
-                .suite
-                .as_deref()
-                .ok_or_else(|| format!("missing 'suite' ({})", SUITE_NAMES.join("|")))?;
-            let suite = parse_suite(suite_name).ok_or_else(|| {
+            let suite = self.suite.as_deref().ok_or_else(|| {
                 format!(
-                    "unknown suite '{suite_name}' ({}){}",
-                    SUITE_NAMES.join("|"),
-                    hint(suite_name, SUITE_NAMES)
+                    "missing 'suite' ({})",
+                    Suite::ALL.map(Suite::name).join("|")
                 )
             })?;
-            let bench = self.bench.as_deref().ok_or("missing 'bench'")?;
-            if !suite_names(suite).contains(&bench) {
-                return Err(format!(
-                    "no benchmark '{bench}' in {suite}{}",
-                    hint(bench, suite_names(suite).iter().copied())
-                ));
-            }
+            let suite = Suite::resolve(suite)?;
+            suite.resolve_bench(self.bench.as_deref().ok_or("missing 'bench'")?)?;
             if self.gadget.is_some() {
                 return Err(format!(
                     "'gadget' is not accepted for kind '{}'",
@@ -447,19 +442,47 @@ impl JobSpec {
         Ok(())
     }
 
-    /// The canonical form the digest is computed over. Includes the
-    /// workload scale so results cached under one `RECON_SCALE` are
-    /// never served under another. Assembly source is folded in as its
-    /// FxHash (`src=`), keeping the canonical string short while keying
-    /// on every byte of the program text.
+    /// The run identity of a `run`, `matrix` or `analyze` job; `None`
+    /// for `verify` and `asm`, which name no suite benchmark.
+    fn run_spec(&self) -> Option<RunSpec> {
+        let suite = self.suite.as_deref()?;
+        let spec = RunSpec::new(suite, self.bench.as_deref(), self.scheme, self.scale)
+            .expect("validated specs resolve");
+        Some(RunSpec {
+            fuel: self.fuel,
+            max_cycles: self.max_cycles,
+            watchdog: self.watchdog_cycles,
+            fast_forward: self.fast_forward,
+            audit: self.audit_every_cycles,
+            ..spec
+        })
+    }
+
+    /// The canonical form the digest is computed over: the job's
+    /// [`RunSpec::canonical`] (for `verify`/`asm`, the same budget
+    /// fields without suite, bench or scale, which they do not read),
+    /// then the service-only fields. Assembly source is folded in as its
+    /// FxHash (`src=`), keeping the string short while keying on every
+    /// byte of the program text. The node's checkpoint cadence is not
+    /// part of it: the gateway digests without knowing node config.
     #[must_use]
     pub fn canonical(&self) -> String {
-        let opt = |o: &Option<String>| o.clone().unwrap_or_else(|| "-".into());
-        let num = |o: &Option<u64>| o.map_or_else(|| "-".into(), |n| n.to_string());
-        let scale = match Scale::from_env() {
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
-        };
+        let num = |o: Option<u64>| o.map_or_else(|| "-".into(), |n| n.to_string());
+        let run = self.run_spec().map_or_else(
+            || {
+                format!(
+                    "v{}|scheme={}|fuel={}|max_cycles={}|watchdog={}|fast_forward={}|audit={}",
+                    RunSpec::VERSION,
+                    self.scheme.map_or_else(|| "-".into(), |s| s.label()),
+                    num(self.fuel),
+                    num(self.max_cycles),
+                    num(self.watchdog_cycles),
+                    num(self.fast_forward),
+                    num(self.audit_every_cycles),
+                )
+            },
+            |run| run.canonical(),
+        );
         let src = self.source.as_deref().map_or_else(
             || "-".into(),
             |s| {
@@ -468,28 +491,12 @@ impl JobSpec {
                 format!("{:#018x}", h.finish())
             },
         );
-        let mut s = format!(
-            "v4|{}|suite={}|bench={}|scheme={}|gadget={}|fuel={}|max_cycles={}|wd={}|ff={}|trace={}|src={src}|scale={scale}",
+        format!(
+            "{run}|kind={}|gadget={}|trace={}|src={src}",
             self.kind.label(),
-            opt(&self.suite),
-            opt(&self.bench),
-            self.scheme.map_or_else(|| "-".into(), |s| s.label()),
-            opt(&self.gadget),
-            num(&self.fuel),
-            num(&self.max_cycles),
-            num(&self.watchdog_cycles),
-            num(&self.fast_forward),
+            self.gadget.as_deref().unwrap_or("-"),
             u8::from(self.trace),
-        );
-        // Appended only when set, so unaudited specs keep the digests
-        // (and cached results) they had before the field existed. An
-        // audit cadence can turn a completed run into a 500, so audited
-        // and unaudited jobs must never share a cache key.
-        if let Some(n) = self.audit_every_cycles {
-            use std::fmt::Write as _;
-            let _ = write!(s, "|audit={n}");
-        }
-        s
+        )
     }
 
     /// The content address of this job: the FxHash digest of its
@@ -550,47 +557,6 @@ fn gadget_names() -> Vec<&'static str> {
         .collect()
 }
 
-/// The experiment parameters `recon run`/`recon suite` use for a suite
-/// (multicore memory geometry for PARSEC).
-#[must_use]
-pub fn experiment_for(suite: Suite) -> Experiment {
-    let mem = if suite == Suite::Parsec {
-        MemConfig::scaled_multicore()
-    } else {
-        MemConfig::scaled()
-    };
-    Experiment {
-        mem,
-        ..Experiment::default()
-    }
-}
-
-/// The benchmark names of one suite, generated once per process.
-///
-/// Validation only needs name *existence*; running the suite generators
-/// (which build every benchmark's synthetic program) per parsed spec
-/// would dominate small-job service time on both the node and the
-/// gateway.
-fn suite_names(suite: Suite) -> &'static [&'static str] {
-    use std::sync::OnceLock;
-    static NAMES: OnceLock<[Vec<&'static str>; 4]> = OnceLock::new();
-    let all = NAMES.get_or_init(|| {
-        [
-            recon_workloads::spec2017(Scale::Quick),
-            recon_workloads::spec2006(Scale::Quick),
-            recon_workloads::parsec(Scale::Quick),
-            recon_workloads::corpus(Scale::Quick),
-        ]
-        .map(|suite| suite.iter().map(|b| b.name).collect())
-    });
-    match suite {
-        Suite::Spec2017 => &all[0],
-        Suite::Spec2006 => &all[1],
-        Suite::Parsec => &all[2],
-        Suite::Corpus => &all[3],
-    }
-}
-
 /// The `GET /workloads` payload: every suite's benchmarks with thread
 /// counts and static instruction counts, generated once per process
 /// (names and static sizes are scale-invariant).
@@ -601,22 +567,12 @@ pub fn workloads_payload() -> &'static str {
     static BODY: OnceLock<String> = OnceLock::new();
     BODY.get_or_init(|| {
         let mut s = String::from("{\"suites\":[");
-        for (i, (name, suite)) in SUITE_NAMES
-            .iter()
-            .filter_map(|&n| parse_suite(n).map(|s| (n, s)))
-            .enumerate()
-        {
+        for (i, suite) in Suite::ALL.into_iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{{\"suite\":\"{name}\",\"benchmarks\":[");
-            let benches = match suite {
-                Suite::Spec2017 => recon_workloads::spec2017(Scale::Quick),
-                Suite::Spec2006 => recon_workloads::spec2006(Scale::Quick),
-                Suite::Parsec => recon_workloads::parsec(Scale::Quick),
-                Suite::Corpus => recon_workloads::corpus(Scale::Quick),
-            };
-            for (j, b) in benches.iter().enumerate() {
+            let _ = write!(s, "{{\"suite\":\"{}\",\"benchmarks\":[", suite.name());
+            for (j, b) in suite.benchmarks(Scale::Quick).iter().enumerate() {
                 if j > 0 {
                     s.push(',');
                 }
@@ -640,20 +596,18 @@ pub fn workloads_payload() -> &'static str {
 /// The suite generators build *every* benchmark's synthetic program
 /// just to select one by name — tens of milliseconds, which dwarfs a
 /// small job's actual simulation. Repeat lookups share one immutable
-/// [`Benchmark`] behind an [`Arc`]. The scale factor is part of the
-/// key, so a mid-process `RECON_SCALE` flip cannot serve stale
-/// workloads.
+/// [`Benchmark`] behind an [`Arc`]. The spec's scale is part of the
+/// key, so specs parsed at different scales never share a workload.
 fn lookup(spec: &JobSpec) -> (Suite, Arc<Benchmark>) {
     use std::collections::HashMap;
     use std::sync::{Mutex, OnceLock};
-    type Memo = Mutex<HashMap<(Suite, String, u64), Arc<Benchmark>>>;
+    type Memo = Mutex<HashMap<(Suite, &'static str, u64), Arc<Benchmark>>>;
     static MEMO: OnceLock<Memo> = OnceLock::new();
 
-    let suite = parse_suite(spec.suite.as_deref().expect("validated")).expect("validated");
-    let name = spec.bench.as_deref().expect("validated");
-    let scale = Scale::from_env();
+    let run = spec.run_spec().expect("validated");
+    let suite = run.suite;
     let memo = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (suite, name.to_string(), scale.factor());
+    let key = (suite, run.bench.expect("validated"), run.scale.factor());
     if let Some(bench) = memo
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -661,7 +615,7 @@ fn lookup(spec: &JobSpec) -> (Suite, Arc<Benchmark>) {
     {
         return (suite, Arc::clone(bench));
     }
-    let bench = Arc::new(find(suite, name, scale).expect("validated"));
+    let bench = Arc::new(run.benchmark().expect("validated"));
     memo.lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .insert(key, Arc::clone(&bench));
@@ -1050,11 +1004,12 @@ mod tests {
         let upper = spec(r#"{"kind":"run","suite":"spec2017","bench":"CACTUBSSN","scheme":"stt"}"#)
             .unwrap();
         assert_eq!(upper.digest(), mixed.digest());
-        // Names that were already accepted keep their digests.
+        // Pinned under run-spec version 5: a digest that moves without a
+        // version bump would orphan every cached result.
         let mcf = spec(r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt+recon"}"#);
-        assert_eq!(mcf.unwrap().digest(), 0xd535_af3c_26fe_e268);
+        assert_eq!(mcf.unwrap().digest(), 0xda98_1837_9303_85fa);
         let shouted = spec(r#"{"kind":"analyze","suite":"spec2017","bench":"MCF"}"#);
-        assert_eq!(shouted.unwrap().digest(), 0x1d7e_35c7_ee9e_bfc2);
+        assert_eq!(shouted.unwrap().digest(), 0x7933_1d6f_6139_2b78);
     }
 
     #[test]
@@ -1110,12 +1065,57 @@ mod tests {
         let plain =
             spec(r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt"}"#).unwrap();
         assert_ne!(s.digest(), plain.digest());
+        // 0 turns the watchdog off, as `--watchdog-cycles 0` does on the
+        // command line; it is a distinct run, so a distinct digest.
+        let off = spec(
+            r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt","watchdog_cycles":0}"#,
+        )
+        .unwrap();
+        assert_eq!(off.watchdog_cycles, Some(0));
+        assert_eq!(spec(&off.to_json()).unwrap(), off);
+        assert_ne!(off.digest(), plain.digest());
+        assert_ne!(off.digest(), s.digest());
+        assert!(
+            spec(r#"{"kind":"run","suite":"spec2017","bench":"mcf","scheme":"stt","fuel":0}"#)
+                .unwrap_err()
+                .contains("positive")
+        );
         // Analyze is functional: no pipeline, no watchdog.
         assert!(
             spec(r#"{"kind":"analyze","suite":"spec2017","bench":"mcf","watchdog_cycles":1}"#)
                 .unwrap_err()
                 .contains("watchdog_cycles")
         );
+    }
+
+    #[test]
+    fn cli_flags_and_json_submission_build_one_run_spec() {
+        let (flags, dir) = RunSpec::from_flags(
+            "spec2017",
+            Some("MCF"),
+            Some("stt+recon"),
+            Scale::Quick,
+            &[
+                "--watchdog-cycles",
+                "0",
+                "--audit",
+                "1000",
+                "--fast-forward",
+                "5000",
+            ],
+        )
+        .unwrap();
+        assert_eq!(dir, None);
+        let json = spec(
+            r#"{"kind":"run","suite":"SPEC2017","bench":"mcf","scheme":"STT+ReCon","watchdog_cycles":0,"audit_every_cycles":1000,"fast_forward":5000}"#,
+        )
+        .unwrap();
+        let served = json.run_spec().unwrap();
+        assert_eq!(served, flags);
+        assert_eq!(served.digest(), flags.digest());
+        // The served digest extends the run's canonical string with the
+        // service-only fields.
+        assert!(json.canonical().starts_with(&flags.canonical()));
     }
 
     #[test]

@@ -192,6 +192,7 @@ impl Server {
     /// I/O errors from binding the address or opening the cache
     /// directory; `InvalidInput` for a malformed chaos spec.
     pub fn start(config: &ServeConfig) -> io::Result<Server> {
+        job::set_scale(recon_workloads::Scale::from_env());
         let chaos = match &config.chaos {
             None => FaultPlan::quiet(0),
             Some(spec) => FaultPlan::parse(spec)

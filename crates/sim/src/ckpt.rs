@@ -3,7 +3,7 @@
 //!
 //! A checkpoint is one file holding one drained-boundary snapshot
 //! ([`crate::System::snapshot_bytes`]) plus enough metadata to rebuild
-//! the system it came from (suite/bench/scheme/scale, cadence, budget).
+//! the system it came from (its [`crate::RunSpec`]).
 //! The on-disk record follows the same discipline as `recon-serve`'s
 //! cache log: magic, length, payload, and a trailing checksum over the
 //! whole record, so a torn write (SIGKILL mid-checkpoint), a corrupted
@@ -15,7 +15,7 @@
 //!
 //! ```text
 //! "RCK1"            magic (4 bytes)
-//! config_digest     u64 LE — identifies the (config, workload, cadence)
+//! config_digest     u64 LE — the run's digest (RunSpec, or a served job's)
 //! payload_len       u32 LE
 //! payload           SnapWriter stream: tag "CKPT", cycle, meta, state
 //! checksum          u64 LE — FxHash over digest || payload
@@ -50,14 +50,14 @@ pub const EXTENSION: &str = "rck";
 /// A decoded checkpoint: the snapshot bytes plus identifying metadata.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Checkpoint {
-    /// Digest of the run configuration (see [`config_digest`]); a
+    /// Digest of the run (see [`crate::RunSpec::digest`]); a
     /// checkpoint may only be restored into a system built from the
     /// same configuration.
     pub config_digest: u64,
     /// Simulated cycle the snapshot was taken at.
     pub cycle: u64,
-    /// Ordered key/value metadata (suite, bench, scheme, scale,
-    /// cadence, budget fields, optionally an embedded job spec).
+    /// Ordered key/value metadata (the [`crate::RunSpec`] string, or a
+    /// served job's spec).
     pub meta: Vec<(String, String)>,
     /// The [`crate::System::snapshot_bytes`] stream.
     pub state: Vec<u8>,
@@ -163,19 +163,6 @@ pub fn checksum(config_digest: u64, payload: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(config_digest);
     h.write(payload);
-    h.finish()
-}
-
-/// Digests a run configuration from its textual parts (Debug-formatted
-/// configs, workload identity, checkpoint cadence). Checkpoints only
-/// resume into a system whose parts digest identically.
-#[must_use]
-pub fn config_digest(parts: &[&str]) -> u64 {
-    let mut h = FxHasher::default();
-    for p in parts {
-        h.write(p.as_bytes());
-        h.write_u8(0x1f); // separator: ("ab","c") != ("a","bc")
-    }
     h.finish()
 }
 
@@ -790,12 +777,6 @@ mod tests {
                 "flip at byte {i} must not decode"
             );
         }
-    }
-
-    #[test]
-    fn config_digest_separates_parts() {
-        assert_ne!(config_digest(&["ab", "c"]), config_digest(&["a", "bc"]));
-        assert_eq!(config_digest(&["a", "b"]), config_digest(&["a", "b"]));
     }
 
     #[test]

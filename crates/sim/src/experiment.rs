@@ -4,7 +4,7 @@ use recon::ReconConfig;
 use recon_cpu::CoreConfig;
 use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
-use recon_workloads::{Benchmark, Workload};
+use recon_workloads::{Benchmark, Suite, Workload};
 
 use crate::error::{Budget, SimError};
 use crate::system::{System, SystemResult};
@@ -82,6 +82,22 @@ impl Experiment {
             stt: self.run(w, SecureConfig::stt()),
             stt_recon: self.run(w, SecureConfig::stt_recon()),
         }
+    }
+}
+
+/// The experiment parameters every front end uses for a suite: the
+/// default core and the capacity-scaled hierarchy, multicore for
+/// PARSEC.
+#[must_use]
+pub fn experiment_for(suite: Suite) -> Experiment {
+    let mem = if suite == Suite::Parsec {
+        MemConfig::scaled_multicore()
+    } else {
+        MemConfig::scaled()
+    };
+    Experiment {
+        mem,
+        ..Experiment::default()
     }
 }
 

@@ -30,6 +30,7 @@ pub mod experiment;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
+pub mod spec;
 pub mod speed;
 pub mod stall;
 pub mod system;
@@ -40,11 +41,11 @@ pub use audit::{
 };
 pub use error::{Budget, DeadlineReason, SimError, DEFAULT_WATCHDOG_CYCLES};
 pub use experiment::{
-    geomean, mean, overhead_from_norm_ipc, overhead_reduction, Experiment, SchemeMatrix,
+    experiment_for, geomean, mean, overhead_from_norm_ipc, overhead_reduction, Experiment,
+    SchemeMatrix,
 };
-pub use runner::{
-    jobs_from_env, parallel_map, run_batch, run_batch_budgeted, BatchResults, JobTiming,
-};
+pub use runner::{jobs_from_env, parallel_map, run_batch, run_batch_spec, BatchResults, JobTiming};
+pub use spec::RunSpec;
 pub use speed::{AuditSpeed, MicroBench, SchemeSpeed, SpeedReport};
 pub use stall::StallReport;
 pub use system::{System, SystemResult};

@@ -23,6 +23,7 @@ use recon_workloads::Benchmark;
 use crate::ckpt::{self, CkptContext};
 use crate::error::Budget;
 use crate::experiment::{Experiment, SchemeMatrix};
+use crate::spec::RunSpec;
 use crate::system::SystemResult;
 
 /// Runs `f` over `items` on `jobs` worker threads, returning outputs in
@@ -292,60 +293,27 @@ pub fn run_batch(
     run_batch_inner(exp, benches, configs, jobs, &Budget::default(), None)
 }
 
-/// [`run_batch`] under an explicit per-job [`Budget`] — the path
-/// `recon suite --fast-forward` uses to warm every job functionally
-/// before its detailed region.
+/// [`run_batch`] with every job under its `spec.job(bench, scheme)`
+/// budget. With a checkpoint context each job also persists: the
+/// context's cadence becomes the spec's, the job checkpoints into
+/// `ctx.dir` and records its completion there under its spec's digest,
+/// so re-running the same batch after a kill skips finished jobs
+/// outright and resumes partial ones from their last checkpoint.
 #[must_use]
-pub fn run_batch_budgeted(
+pub fn run_batch_spec(
     exp: &Experiment,
     benches: &[Benchmark],
     configs: &[SecureConfig],
     jobs: usize,
-    budget: &Budget,
+    spec: &RunSpec,
+    ctx: Option<&CkptContext>,
 ) -> BatchResults {
-    run_batch_inner(exp, benches, configs, jobs, budget, None)
-}
-
-/// [`run_batch`] with crash-safe persistence: each job checkpoints into
-/// `ctx.dir` and records its completion there, so re-running the same
-/// batch (same `tag`) after a kill skips finished jobs outright and
-/// resumes partial ones from their last checkpoint. `tag` namespaces
-/// the batch (e.g. `"spec2017/quick"`); it is folded into every job's
-/// config digest along with the cadence.
-#[must_use]
-pub fn run_batch_checkpointed(
-    exp: &Experiment,
-    benches: &[Benchmark],
-    configs: &[SecureConfig],
-    jobs: usize,
-    ctx: &CkptContext,
-    tag: &str,
-) -> BatchResults {
-    run_batch_inner(
-        exp,
-        benches,
-        configs,
-        jobs,
-        &Budget::default(),
-        Some((ctx, tag)),
-    )
-}
-
-/// [`run_batch_checkpointed`] under an explicit [`Budget`]. A
-/// fast-forward warmup is folded into each job's config digest (it
-/// changes every result), so warmed and unwarmed batches never share
-/// completion records.
-#[must_use]
-pub fn run_batch_checkpointed_budgeted(
-    exp: &Experiment,
-    benches: &[Benchmark],
-    configs: &[SecureConfig],
-    jobs: usize,
-    budget: &Budget,
-    ctx: &CkptContext,
-    tag: &str,
-) -> BatchResults {
-    run_batch_inner(exp, benches, configs, jobs, budget, Some((ctx, tag)))
+    let spec = RunSpec {
+        cadence: ctx.map_or(spec.cadence, |c| Some(c.cadence)),
+        ..spec.clone()
+    };
+    let persist = ctx.map(|c| (c, &spec));
+    run_batch_inner(exp, benches, configs, jobs, &spec.budget(), persist)
 }
 
 fn run_batch_inner(
@@ -354,7 +322,7 @@ fn run_batch_inner(
     configs: &[SecureConfig],
     jobs: usize,
     budget: &Budget,
-    persist: Option<(&CkptContext, &str)>,
+    persist: Option<(&CkptContext, &RunSpec)>,
 ) -> BatchResults {
     let mut work: Vec<(&Benchmark, SecureConfig)> = Vec::new();
     for b in benches {
@@ -377,17 +345,8 @@ fn run_batch_inner(
                     .and_then(|r| r.map_err(|e| e.to_string())),
                 None,
             ),
-            Some((ctx, tag)) => {
-                let scheme = c.to_string();
-                let cadence = ctx.cadence.to_string();
-                let mut parts = vec![tag, b.name, scheme.as_str(), cadence.as_str()];
-                // Folded in only when set, so unwarmed batches keep
-                // their pre-existing on-disk records.
-                let ff = budget.fast_forward.map(|n| n.to_string());
-                if let Some(ff) = ff.as_deref() {
-                    parts.push(ff);
-                }
-                let digest = ckpt::config_digest(&parts);
+            Some((ctx, spec)) => {
+                let job = spec.job(b.name, c);
                 let caught = catch_retry(|| {
                     ckpt::run_with_checkpoints(
                         exp,
@@ -395,14 +354,8 @@ fn run_batch_inner(
                         c,
                         budget,
                         ctx,
-                        &[
-                            ("kind".to_string(), "suite-job".to_string()),
-                            ("tag".to_string(), tag.to_string()),
-                            ("bench".to_string(), b.name.to_string()),
-                            ("scheme".to_string(), scheme.clone()),
-                            ("cadence".to_string(), ctx.cadence.to_string()),
-                        ],
-                        digest,
+                        &job.meta(),
+                        job.digest(),
                     )
                 });
                 match caught {
@@ -483,50 +436,22 @@ impl Experiment {
         benches: &[Benchmark],
         jobs: usize,
     ) -> (Vec<SchemeMatrix>, BatchResults) {
-        self.run_matrices_budgeted(benches, jobs, &Budget::default())
-    }
-
-    /// [`run_matrices`](Self::run_matrices) under an explicit per-job
-    /// [`Budget`] (fuel, deadlines, functional fast-forward warmup).
-    #[must_use]
-    pub fn run_matrices_budgeted(
-        &self,
-        benches: &[Benchmark],
-        jobs: usize,
-        budget: &Budget,
-    ) -> (Vec<SchemeMatrix>, BatchResults) {
-        let batch = run_batch_budgeted(self, benches, &MATRIX, jobs, budget);
+        let batch = run_batch(self, benches, &MATRIX, jobs);
         (Self::matrices_from(benches, &batch), batch)
     }
 
-    /// [`run_matrices`](Self::run_matrices) with crash-safe suite
-    /// resume: jobs checkpoint into `ctx.dir` under `tag`, completed
-    /// jobs short-circuit on a re-run, and partial jobs resume from
-    /// their last checkpoint (see [`run_batch_checkpointed`]).
+    /// [`run_matrices`](Self::run_matrices) with every job under
+    /// `spec.job(bench, scheme)`, the `recon suite` path: crash-safe
+    /// with a checkpoint context (see [`run_batch_spec`]).
     #[must_use]
-    pub fn run_matrices_checkpointed(
+    pub fn run_matrices_spec(
         &self,
         benches: &[Benchmark],
         jobs: usize,
-        ctx: &CkptContext,
-        tag: &str,
+        spec: &RunSpec,
+        ctx: Option<&CkptContext>,
     ) -> (Vec<SchemeMatrix>, BatchResults) {
-        let batch = run_batch_checkpointed(self, benches, &MATRIX, jobs, ctx, tag);
-        (Self::matrices_from(benches, &batch), batch)
-    }
-
-    /// [`run_matrices_checkpointed`](Self::run_matrices_checkpointed)
-    /// under an explicit per-job [`Budget`].
-    #[must_use]
-    pub fn run_matrices_checkpointed_budgeted(
-        &self,
-        benches: &[Benchmark],
-        jobs: usize,
-        budget: &Budget,
-        ctx: &CkptContext,
-        tag: &str,
-    ) -> (Vec<SchemeMatrix>, BatchResults) {
-        let batch = run_batch_checkpointed_budgeted(self, benches, &MATRIX, jobs, budget, ctx, tag);
+        let batch = run_batch_spec(self, benches, &MATRIX, jobs, spec, ctx);
         (Self::matrices_from(benches, &batch), batch)
     }
 

@@ -206,9 +206,9 @@ impl SpeedReport {
         self.schemes.iter().all(|s| s.identical)
     }
 
-    /// Runs the full scoreboard on the named benchmark at the current
-    /// `RECON_SCALE`. `quick` shrinks repeat counts (CI smoke); the
-    /// measured schema and verdicts are identical either way.
+    /// Runs the full scoreboard on the named benchmark at `scale`.
+    /// `quick` shrinks repeat counts (CI smoke); the measured schema
+    /// and verdicts are identical either way.
     ///
     /// # Panics
     ///
@@ -216,8 +216,7 @@ impl SpeedReport {
     /// if a functional run faults — all programmer errors in the
     /// harness, not runtime conditions.
     #[must_use]
-    pub fn measure(suite: Suite, bench: &str, quick: bool) -> SpeedReport {
-        let scale = Scale::from_env();
+    pub fn measure(suite: Suite, bench: &str, scale: Scale, quick: bool) -> SpeedReport {
         let b = find(suite, bench, scale).unwrap_or_else(|| panic!("no benchmark '{bench}'"));
         assert_eq!(
             b.workload.num_threads(),
@@ -253,10 +252,7 @@ impl SpeedReport {
         .collect();
 
         SpeedReport {
-            scale: match scale {
-                Scale::Quick => "quick",
-                Scale::Paper => "paper",
-            },
+            scale: scale.label(),
             suite: "spec2017",
             bench: b.name,
             functional_instructions,

@@ -1,5 +1,5 @@
 //! Crash-safe job persistence (`ckpt::run_with_checkpoints`) and suite
-//! resume (`run_batch_checkpointed`): completed jobs short-circuit via
+//! resume (`run_batch_spec`): completed jobs short-circuit via
 //! result records, killed jobs resume from their newest checkpoint,
 //! corrupt files are dropped and never trusted, and GC bounds disk use.
 
@@ -11,10 +11,10 @@ use recon_cpu::CoreConfig;
 use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
 use recon_sim::ckpt::{self, CkptContext};
-use recon_sim::runner::run_batch_checkpointed;
-use recon_sim::{Budget, Experiment, System};
+use recon_sim::runner::run_batch_spec;
+use recon_sim::{Budget, Experiment, RunSpec, System};
 use recon_workloads::gen::parallel::{generate, ParKind, ParallelParams};
-use recon_workloads::{Benchmark, Suite, Workload};
+use recon_workloads::{Benchmark, Scale, Suite, Workload};
 
 const CADENCE: u64 = 400;
 
@@ -59,7 +59,7 @@ fn completed_job_is_cached_and_its_checkpoints_deleted() {
     let e = exp();
     let w = tiny_workload(ParKind::SharedChase);
     let ctx = CkptContext::new(dir.clone(), CADENCE);
-    let digest = ckpt::config_digest(&["cached-test"]);
+    let digest = 0xCAC4E;
     let meta = vec![("kind".to_string(), "test".to_string())];
 
     let (r1, i1) = ckpt::run_with_checkpoints(
@@ -113,7 +113,7 @@ fn killed_job_resumes_from_its_checkpoint_with_identical_results() {
         .expect("reference run completes");
     assert!(snaps.len() >= 2);
 
-    let digest = ckpt::config_digest(&["resume-test"]);
+    let digest = 0x4E5E;
     let (cycle, bytes) = &snaps[snaps.len() / 2];
     ckpt::write(
         &dir,
@@ -142,7 +142,7 @@ fn killed_job_resumes_from_its_checkpoint_with_identical_results() {
 #[test]
 fn corrupt_checkpoints_are_dropped_never_trusted() {
     let dir = scratch("corrupt");
-    let digest = ckpt::config_digest(&["corrupt-test"]);
+    let digest = 0xC044;
     // A torn/garbage file named like the newest checkpoint of this job.
     fs::write(dir.join(ckpt::file_name(digest, 999_999)), b"RCK1 garbage").expect("plant");
 
@@ -184,7 +184,7 @@ fn gc_bounds_disk_while_running() {
         cadence: 200,
         keep: 1,
     };
-    let digest = ckpt::config_digest(&["gc-test"]);
+    let digest = 0x6C;
     let (r, info) = ckpt::run_with_checkpoints(
         &e,
         &w,
@@ -220,14 +220,15 @@ fn rerun_suite_batch_hits_the_result_cache() {
     ];
     let configs = [SecureConfig::unsafe_baseline(), SecureConfig::stt_recon()];
     let ctx = CkptContext::new(dir.clone(), CADENCE);
+    let spec = RunSpec::new("parsec", None, None, Scale::Quick).unwrap();
 
-    let first = run_batch_checkpointed(&e, &benches, &configs, 2, &ctx, "batch-test");
+    let first = run_batch_spec(&e, &benches, &configs, 2, &spec, Some(&ctx));
     assert_eq!(first.failed_count(), 0);
     let s1 = first.ckpt.expect("checkpointed batch reports stats");
     assert_eq!(s1.cached, 0);
     assert!(s1.written > 0);
 
-    let second = run_batch_checkpointed(&e, &benches, &configs, 2, &ctx, "batch-test");
+    let second = run_batch_spec(&e, &benches, &configs, 2, &spec, Some(&ctx));
     let s2 = second.ckpt.expect("stats");
     assert_eq!(
         s2.cached,

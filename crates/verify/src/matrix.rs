@@ -9,11 +9,8 @@
 //! "detecting non-speculative leakage lets you stop re-protecting it"
 //! argument, checked end-to-end.
 
-use recon::ReconConfig;
-use recon_cpu::CoreConfig;
-use recon_mem::MemConfig;
 use recon_secure::SecureConfig;
-use recon_sim::{parallel_map, Budget, SimError, System};
+use recon_sim::{experiment_for, parallel_map, Budget, SimError, System};
 use recon_workloads::{find, Scale, Suite};
 
 use crate::differ::{run_cell, CellResult, Verdict};
@@ -362,19 +359,9 @@ pub fn soundness_sweep_budgeted(jobs: usize, budget: &Budget) -> Vec<SoundnessRu
     let ff = budget.fast_forward;
     parallel_map(jobs, picks.to_vec(), move |(suite, name)| {
         let bench = find(suite, name, Scale::Quick).expect("benchmark exists");
-        let mem = if suite == Suite::Parsec {
-            MemConfig::scaled_multicore()
-        } else {
-            MemConfig::scaled()
-        };
+        let exp = experiment_for(suite);
         let scheme = SecureConfig::stt_recon();
-        let mut sys = System::new(
-            &bench.workload,
-            CoreConfig::paper(),
-            mem,
-            scheme,
-            ReconConfig::default(),
-        );
+        let mut sys = System::new(&bench.workload, exp.core, exp.mem, scheme, exp.recon);
         if let Some(n) = ff {
             sys.fast_forward(n);
         }

@@ -52,14 +52,126 @@ impl Scale {
     }
 
     /// Reads the scale from the `RECON_SCALE` environment variable
-    /// (`paper` for ×4 runs; anything else is [`Scale::Quick`]). The
-    /// single source of truth for every harness and the CLI.
+    /// (`paper` for ×4 runs; anything else is [`Scale::Quick`]). Read
+    /// once where a process starts; everything downstream carries the
+    /// scale explicitly.
     #[must_use]
     pub fn from_env() -> Self {
         match std::env::var("RECON_SCALE").as_deref() {
             Ok("paper") | Ok("PAPER") => Scale::Paper,
             _ => Scale::Quick,
         }
+    }
+
+    /// The lowercase name (`quick` or `paper`), as spelled in
+    /// `RECON_SCALE` and in run-spec digests.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Paper => "paper",
+        }
+    }
+
+    /// Parses a [`Scale::label`] spelling, case-insensitively.
+    #[must_use]
+    pub fn parse(name: &str) -> Option<Self> {
+        [Scale::Quick, Scale::Paper]
+            .into_iter()
+            .find(|s| s.label().eq_ignore_ascii_case(name))
+    }
+}
+
+/// ` — did you mean '..'?` when `input` is within edit distance 2 of a
+/// candidate (compared case-insensitively), else the empty string.
+#[must_use]
+pub fn did_you_mean<'a>(input: &str, candidates: impl IntoIterator<Item = &'a str>) -> String {
+    let candidates: Vec<&str> = candidates.into_iter().collect();
+    let lower: Vec<String> = candidates.iter().map(|c| c.to_ascii_lowercase()).collect();
+    recon_asm::suggest(
+        &input.to_ascii_lowercase(),
+        lower.iter().map(String::as_str),
+    )
+    .and_then(|s| lower.iter().position(|l| l == s))
+    .map_or_else(String::new, |i| {
+        format!(" — did you mean '{}'?", candidates[i])
+    })
+}
+
+impl Suite {
+    /// Every suite, in display order.
+    pub const ALL: [Suite; 4] = [
+        Suite::Spec2017,
+        Suite::Spec2006,
+        Suite::Parsec,
+        Suite::Corpus,
+    ];
+
+    /// The lowercase name the CLI and `recon serve` accept.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Suite::Spec2017 => "spec2017",
+            Suite::Spec2006 => "spec2006",
+            Suite::Parsec => "parsec",
+            Suite::Corpus => "corpus",
+        }
+    }
+
+    /// Resolves a suite name case-insensitively.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, with every suite listed and a near-miss hint.
+    pub fn resolve(name: &str) -> Result<Suite, String> {
+        Suite::ALL
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                let names = Suite::ALL.map(Suite::name);
+                format!(
+                    "unknown suite '{name}' ({}){}",
+                    names.join("|"),
+                    did_you_mean(name, names)
+                )
+            })
+    }
+
+    /// Generates every benchmark of the suite at `scale`.
+    #[must_use]
+    pub fn benchmarks(self, scale: Scale) -> Vec<Benchmark> {
+        match self {
+            Suite::Spec2017 => spec2017(scale),
+            Suite::Spec2006 => spec2006(scale),
+            Suite::Parsec => parsec(scale),
+            Suite::Corpus => corpus(scale),
+        }
+    }
+
+    /// Resolves a benchmark name case-insensitively to the suite's own
+    /// spelling. The names are generated once per process (they do not
+    /// depend on the scale, and generating a suite builds every
+    /// benchmark's program).
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, with a near-miss hint.
+    pub fn resolve_bench(self, name: &str) -> Result<&'static str, String> {
+        use std::sync::OnceLock;
+        static NAMES: OnceLock<[Vec<&'static str>; 4]> = OnceLock::new();
+        let names = &NAMES.get_or_init(|| {
+            Suite::ALL.map(|s| s.benchmarks(Scale::Quick).iter().map(|b| b.name).collect())
+        })[Suite::ALL.iter().position(|&s| s == self).expect("listed")];
+        names
+            .iter()
+            .find(|n| n.eq_ignore_ascii_case(name))
+            .copied()
+            .ok_or_else(|| {
+                format!(
+                    "no benchmark '{name}' in {self}{}",
+                    did_you_mean(name, names.iter().copied())
+                )
+            })
     }
 }
 
@@ -532,13 +644,7 @@ pub fn all_single_thread(scale: Scale) -> Vec<Benchmark> {
 /// Looks up a benchmark by suite and name.
 #[must_use]
 pub fn find(suite: Suite, name: &str, scale: Scale) -> Option<Benchmark> {
-    let list: Vec<Benchmark> = match suite {
-        Suite::Spec2017 => spec2017(scale),
-        Suite::Spec2006 => spec2006(scale),
-        Suite::Parsec => parsec(scale),
-        Suite::Corpus => corpus(scale),
-    };
-    list.into_iter().find(|b| b.name == name)
+    suite.benchmarks(scale).into_iter().find(|b| b.name == name)
 }
 
 /// The benchmarks the paper analyzes in Figure 9 (SPEC2017 entries with
@@ -627,6 +733,26 @@ mod tests {
         assert!(find(Suite::Spec2006, "sphinx3", Scale::Quick).is_some());
         assert!(find(Suite::Parsec, "canneal", Scale::Quick).is_some());
         assert!(find(Suite::Spec2017, "nonexistent", Scale::Quick).is_none());
+    }
+
+    #[test]
+    fn names_resolve_case_insensitively_with_hints() {
+        assert_eq!(Suite::resolve("CORPUS"), Ok(Suite::Corpus));
+        let e = Suite::resolve("Corpu").unwrap_err();
+        assert!(e.contains("spec2017|spec2006|parsec|corpus"), "{e}");
+        assert!(e.contains("did you mean 'corpus'"), "{e}");
+        assert_eq!(Suite::Spec2017.resolve_bench("CACTUBSSN"), Ok("cactuBSSN"));
+        let e = Suite::Corpus.resolve_bench("quicksot").unwrap_err();
+        assert!(e.contains("did you mean 'quicksort'"), "{e}");
+        for suite in Suite::ALL {
+            for b in suite.benchmarks(Scale::Paper) {
+                assert_eq!(suite.resolve_bench(b.name), Ok(b.name));
+            }
+        }
+        for scale in [Scale::Quick, Scale::Paper] {
+            assert_eq!(Scale::parse(scale.label()), Some(scale));
+        }
+        assert_eq!(Scale::parse("huge"), None);
     }
 
     #[test]

@@ -17,13 +17,7 @@ pub enum Suite {
 
 impl core::fmt::Display for Suite {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let s = match self {
-            Suite::Spec2017 => "SPEC2017",
-            Suite::Spec2006 => "SPEC2006",
-            Suite::Parsec => "PARSEC",
-            Suite::Corpus => "CORPUS",
-        };
-        f.write_str(s)
+        f.write_str(&self.name().to_ascii_uppercase())
     }
 }
 

@@ -137,7 +137,7 @@ fn bench_serve_report_golden() {
 
 #[test]
 fn speed_report_json_schema_and_determinism() {
-    let report = SpeedReport::measure(Suite::Spec2017, "mcf", true);
+    let report = SpeedReport::measure(Suite::Spec2017, "mcf", Scale::from_env(), true);
 
     let path = tmp_path("speed.json");
     report.write_json(&path).expect("write BENCH_speed.json");
@@ -246,7 +246,7 @@ fn speed_report_json_schema_and_determinism() {
     }
 
     // Everything except host timings is deterministic across runs.
-    let again = SpeedReport::measure(Suite::Spec2017, "mcf", true);
+    let again = SpeedReport::measure(Suite::Spec2017, "mcf", Scale::from_env(), true);
     assert_eq!(
         again.functional_instructions,
         report.functional_instructions
