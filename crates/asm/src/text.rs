@@ -96,22 +96,25 @@ impl AsmProgram {
 }
 
 /// Suggests the closest candidate to `input` within edit distance 2,
-/// for "did you mean" diagnostics. Ties go to the earliest candidate.
+/// for "did you mean" diagnostics. Ties go to the candidate that sorts
+/// first by name, so the hint does not depend on the candidates' order
+/// (some come from hash-map iteration).
 #[must_use]
 pub fn suggest<'a>(input: &str, candidates: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
-    let mut best: Option<(usize, &str)> = None;
-    for cand in candidates {
-        let d = edit_distance(input, cand);
-        if d <= 2 && best.is_none_or(|(bd, _)| d < bd) {
-            best = Some((d, cand));
-        }
-    }
-    best.map(|(_, c)| c)
+    candidates
+        .into_iter()
+        .map(|cand| (edit_distance(input, cand), cand))
+        .filter(|&(d, _)| d <= 2)
+        .min()
+        .map(|(_, c)| c)
 }
 
-/// Levenshtein distance over bytes (sources here are ASCII).
+/// Optimal-string-alignment distance over bytes (sources here are
+/// ASCII): Levenshtein plus adjacent transpositions, so `mfc` is one
+/// edit from `mcf`.
 fn edit_distance(a: &str, b: &str) -> usize {
     let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut prev2 = vec![0usize; b.len() + 1];
     let mut prev: Vec<usize> = (0..=b.len()).collect();
     let mut cur = vec![0usize; b.len() + 1];
     for (i, &ca) in a.iter().enumerate() {
@@ -119,7 +122,11 @@ fn edit_distance(a: &str, b: &str) -> usize {
         for (j, &cb) in b.iter().enumerate() {
             let sub = prev[j] + usize::from(ca != cb);
             cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
+            if i > 0 && j > 0 && ca == b[j - 1] && a[i - 1] == cb {
+                cur[j + 1] = cur[j + 1].min(prev2[j - 1] + 1);
+            }
         }
+        std::mem::swap(&mut prev2, &mut prev);
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[b.len()]
@@ -1175,5 +1182,13 @@ main:
             Some("spec2017")
         );
         assert_eq!(suggest("zzzzzz", ["spec2017", "parsec"]), None);
+        // A transposition is one edit: `mfc` is nearer `mcf` than `gcc`.
+        assert_eq!(suggest("mfc", ["gcc", "mcf", "xz"]), Some("mcf"));
+        assert_eq!(edit_distance("mfc", "mcf"), 1);
+        assert_eq!(edit_distance("ab", "ba"), 1);
+        assert_eq!(edit_distance("abc", "ca"), 3);
+        // Ties go to the first name, whatever the candidates' order.
+        assert_eq!(suggest("ldz", ["ldy", "ldx"]), Some("ldx"));
+        assert_eq!(suggest("ldz", ["ldx", "ldy"]), Some("ldx"));
     }
 }
